@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -90,8 +91,12 @@ func BenchmarkScenarioColdVsWarm(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if hits := svc.MetricsSnapshot().Cache.Hits; hits < int64(b.N) {
-			b.Fatalf("cache hits %d want ≥ %d (warm path fell through to execution)", hits, b.N)
+		var exp strings.Builder
+		if err := svc.Registry().WritePrometheus(&exp); err != nil {
+			b.Fatal(err)
+		}
+		if !strings.Contains(exp.String(), fmt.Sprintf("\nepi_scenario_cache_hits_total %d\n", b.N)) {
+			b.Fatalf("cache hits want %d (warm path fell through to execution):\n%s", b.N, exp.String())
 		}
 	})
 }

@@ -2,7 +2,10 @@
 // three production workflows (prediction, what-if, nightly). Policy-makers
 // submit scenario specs, the service content-addresses each spec, runs it
 // through a bounded job queue over a shared core.Pipeline, and serves
-// results from an LRU cache with single-flight deduplication.
+// results from an LRU cache with single-flight deduplication. One
+// scenario.Service answers every request; -workers alone sets how many
+// jobs run at once, and ?priority=interactive|normal|batch selects the
+// admission class.
 //
 // Usage:
 //
@@ -15,7 +18,6 @@
 //	curl -s localhost:8080/scenarios/<id>/result
 //	curl -s localhost:8080/readyz           # readiness incl. fidelity tier warm state
 //	curl -s localhost:8080/metrics          # Prometheus text (unified registry)
-//	curl -s localhost:8080/metrics.json     # legacy JSON snapshot
 //
 // With -fidelity (default on), specs may carry "fidelity": "auto" and a
 // "max_uncertainty" budget: the service then answers from a GP emulator or
@@ -51,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fidelity"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/scenario"
 )
 
@@ -72,10 +73,6 @@ func main() {
 		"enable the fidelity ladder (specs with a fidelity field route through emulator/metapop/abm tiers)")
 	fidelityMinFit := flag.Int("fidelity-min-fit", 8, "ABM design points before a family's emulator fits")
 	fidelityCacheMB := flag.Int64("fidelity-cache", 64, "fidelity training-set cache budget in MB")
-	replicas := flag.Int("replicas", 1,
-		"scenario service replicas behind one front door (>1 enables the shared result store, work-stealing and /replicas)")
-	batchWindow := flag.Duration("batch-window", 0,
-		"what-if ensemble batching window under -replicas > 1 (0 disables; e.g. 25ms folds near-identical specs into one run)")
 	recorderCap := flag.Int("recorder", 256,
 		"flight-recorder capacity: last N request traces kept at /debug/requests (0 disables request tracing, RED series and /slo)")
 	sloP99 := flag.Duration("slo-p99", 0,
@@ -105,10 +102,10 @@ func main() {
 		router.RegisterMetrics(reg)
 		defer router.Close()
 	}
-	svcCfg := scenario.Config{
+	svc := scenario.NewService(scenario.Config{
 		Pipeline: p, Workers: *workers, QueueCap: *queueCap, CacheCap: *cacheCap,
 		Registry: reg, Fidelity: router,
-	}
+	})
 	// Request-scoped serving observability: trace every scenario request
 	// into the flight recorder, optionally teeing the span/event stream to
 	// a JSONL journal that MUST be flushed+closed after drain (the tail of
@@ -132,23 +129,7 @@ func main() {
 		}
 		servingObs = scenario.NewServingObs(reg, obsCfg)
 	}
-	var handler http.Handler
-	var drain func(context.Context) error
-	if *replicas > 1 {
-		coord, err := replica.NewCoordinator(replica.Config{
-			Replicas: *replicas, Base: svcCfg,
-			BatchWindow: *batchWindow, Registry: reg,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = scenario.NewBackendServer(coord, servingObs)
-		drain = coord.Drain
-	} else {
-		svc := scenario.NewService(svcCfg)
-		handler = scenario.NewServer(svc, servingObs)
-		drain = svc.Drain
-	}
+	var handler http.Handler = scenario.NewServer(svc, servingObs)
 	if *enablePprof {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -163,8 +144,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("episerve listening on %s (replicas=%d workers=%d queue=%d cache=%d scale=1:%d seed=%d)",
-			*addr, *replicas, *workers, *queueCap, *cacheCap, *scale, *seed)
+		log.Printf("episerve listening on %s (workers=%d queue=%d cache=%d scale=1:%d seed=%d)",
+			*addr, *workers, *queueCap, *cacheCap, *scale, *seed)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -182,7 +163,7 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := drain(ctx); err != nil {
+	if err := svc.Drain(ctx); err != nil {
 		log.Printf("drain interrupted, in-flight jobs canceled: %v", err)
 	} else {
 		log.Printf("drained cleanly")

@@ -1,4 +1,4 @@
-package replica
+package main
 
 import (
 	"bytes"
@@ -36,7 +36,7 @@ type LoadgenConfig struct {
 	// Client overrides the HTTP client (default: pooled, 30s timeout).
 	Client *http.Client
 	// Registry, when set, receives the run's latency histogram and
-	// throughput gauge under epi_loadgen_* (the PR 5 metrics surface).
+	// throughput gauge under epi_loadgen_*.
 	Registry *obs.Registry
 }
 
@@ -207,7 +207,7 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenReport, error) {
 		}
 	}
 	if rep.Requests == 0 {
-		return rep, fmt.Errorf("replica: loadgen issued no requests")
+		return rep, fmt.Errorf("loadgen: issued no requests")
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	rep.P50 = quantile(lats, 0.50)

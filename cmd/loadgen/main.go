@@ -1,6 +1,5 @@
 // Command loadgen drives sustained concurrent traffic against a running
-// episerve (single service or replica cluster) and reports client-side
-// p50/p99 latency and throughput.
+// episerve and reports client-side p50/p99 latency and throughput.
 //
 // Usage:
 //
@@ -21,7 +20,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/replica"
 	"repro/internal/scenario"
 )
 
@@ -39,14 +37,14 @@ func main() {
 	flag.Parse()
 
 	specFor := func(client, seq int) scenario.Spec {
-		s := replica.DefaultSpecFor(client, seq)
+		s := DefaultSpecFor(client, seq)
 		s.State, s.Days, s.Replicates = *state, *days, *reps
 		if *fixed {
 			s.Configs = nil // normalization fills defaults: every spec identical
 		}
 		return s
 	}
-	lcfg := replica.LoadgenConfig{
+	lcfg := LoadgenConfig{
 		BaseURL: *addr, Clients: *clients, Requests: *requests,
 		Priority: *priority, SpecFor: specFor,
 	}
@@ -56,7 +54,7 @@ func main() {
 			return classes[(client+seq)%len(classes)]
 		}
 	}
-	rep, err := replica.RunLoadgen(lcfg)
+	rep, err := RunLoadgen(lcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

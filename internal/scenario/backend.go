@@ -8,10 +8,8 @@ import (
 
 // Handle is the waiter-side view of an admitted submission: the HTTP layer
 // (and any other front door) holds exactly one interest reference per
-// Handle and must Release it. *Job implements Handle for the single-service
-// deployment; the replica coordinator's ticket implements it for the
-// multi-replica one, where the job behind a handle may migrate between
-// replicas mid-wait.
+// Handle and must Release it. *Job implements Handle; wrappers (timing,
+// tracing) may decorate it.
 type Handle interface {
 	// ID is the spec's content address.
 	ID() string
@@ -30,8 +28,8 @@ type Handle interface {
 // ID returns the job's content address (Handle).
 func (j *Job) ID() string { return j.Hash }
 
-// Backend is the serving surface the HTTP layer runs over: a single
-// *Service (via serviceBackend) or a replica coordinator fronting many.
+// Backend is the serving surface the HTTP layer runs over: a *Service via
+// AsBackend, or a wrapper around one that decorates its calls.
 type Backend interface {
 	// Submit admits a spec at a priority class and returns a Handle holding
 	// one interest reference. ctx contributes tracing identity only (a
@@ -50,8 +48,6 @@ type Backend interface {
 	Readiness() Readiness
 	// Registry backs the Prometheus /metrics endpoint.
 	Registry() *obs.Registry
-	// MetricsSnapshot is the legacy /metrics.json payload.
-	MetricsSnapshot() Snapshot
 }
 
 // serviceBackend adapts one *Service to the Backend surface.
@@ -76,8 +72,7 @@ func (b serviceBackend) Lookup(id string) (Handle, bool) {
 	return j, true
 }
 
-func (b serviceBackend) Cancel(id string) bool     { return b.svc.Cancel(id) }
-func (b serviceBackend) Draining() bool            { return b.svc.Draining() }
-func (b serviceBackend) Readiness() Readiness      { return b.svc.Readiness() }
-func (b serviceBackend) Registry() *obs.Registry   { return b.svc.Registry() }
-func (b serviceBackend) MetricsSnapshot() Snapshot { return b.svc.MetricsSnapshot() }
+func (b serviceBackend) Cancel(id string) bool   { return b.svc.Cancel(id) }
+func (b serviceBackend) Draining() bool          { return b.svc.Draining() }
+func (b serviceBackend) Readiness() Readiness    { return b.svc.Readiness() }
+func (b serviceBackend) Registry() *obs.Registry { return b.svc.Registry() }

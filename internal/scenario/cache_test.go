@@ -1,63 +1,107 @@
 package scenario
 
 import (
-	"fmt"
+	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
+// instantService runs every job at once and counts executions, so cache
+// tests can tell a computed result from a cached one.
+func instantService(t *testing.T, cacheCap int) (*Service, *atomic.Int64) {
+	t.Helper()
+	var runs atomic.Int64
+	s := NewService(Config{
+		Workers: 1, QueueCap: 4, CacheCap: cacheCap, Fingerprint: "test",
+		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
+			runs.Add(1)
+			return &Result{}, nil
+		},
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	return s, &runs
+}
+
+// submitWait submits a spec, waits for its result and reports whether it
+// was served from the cache.
+func submitWait(t *testing.T, s *Service, spec Spec) bool {
+	t.Helper()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return j.Status().Cached
+}
+
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(3)
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &Result{Hash: fmt.Sprintf("k%d", i)})
+	s, runs := instantService(t, 3)
+	for d := 10; d < 13; d++ {
+		submitWait(t, s, predSpec("VA", d))
 	}
-	// Touch k0 so k1 becomes least recently used.
-	if _, ok := c.Get("k0"); !ok {
-		t.Fatal("k0 missing")
+	// Touch day 10 so day 11 becomes least recently used.
+	if !submitWait(t, s, predSpec("VA", 10)) {
+		t.Fatal("day 10 missing from the cache")
 	}
-	c.Put("k3", &Result{Hash: "k3"})
-	if _, ok := c.Get("k1"); ok {
-		t.Fatal("k1 survived eviction despite being LRU")
+	submitWait(t, s, predSpec("VA", 13))
+	got := series(t, s.Registry())
+	if got["epi_scenario_cache_evictions_total"] != 1 || got["epi_scenario_cache_entries"] != 3 {
+		t.Fatalf("evictions %v / entries %v, want 1/3",
+			got["epi_scenario_cache_evictions_total"], got["epi_scenario_cache_entries"])
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("%s evicted unexpectedly", k)
+	for _, d := range []int{10, 12, 13} {
+		if !submitWait(t, s, predSpec("VA", d)) {
+			t.Fatalf("day %d evicted unexpectedly", d)
 		}
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 3 {
-		t.Fatalf("stats %+v want 1 eviction, 3 entries", st)
+	if submitWait(t, s, predSpec("VA", 11)) {
+		t.Fatal("day 11 survived eviction despite being LRU")
+	}
+	if got := runs.Load(); got != 5 {
+		t.Fatalf("%d executions want 5 (four distinct specs, one recomputed)", got)
 	}
 }
 
 func TestCacheRefreshDoesNotGrow(t *testing.T) {
-	c := NewCache(2)
-	c.Put("a", &Result{})
-	c.Put("a", &Result{})
-	c.Put("b", &Result{})
-	if c.Len() != 2 {
-		t.Fatalf("len %d want 2", c.Len())
+	s, _ := instantService(t, 2)
+	for i := 0; i < 3; i++ {
+		submitWait(t, s, predSpec("VA", 10))
+		submitWait(t, s, predSpec("VA", 11))
 	}
-	if st := c.Stats(); st.Evictions != 0 {
-		t.Fatalf("%d evictions want 0", st.Evictions)
+	got := series(t, s.Registry())
+	if got["epi_scenario_cache_entries"] != 2 || got["epi_scenario_cache_evictions_total"] != 0 {
+		t.Fatalf("entries %v / evictions %v, want 2/0",
+			got["epi_scenario_cache_entries"], got["epi_scenario_cache_evictions_total"])
 	}
 }
 
 func TestCacheHitRatio(t *testing.T) {
-	c := NewCache(2)
-	c.Put("a", &Result{})
-	c.Get("a")
-	c.Get("a")
-	c.RecordMiss()
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("hits/misses %d/%d want 2/1", st.Hits, st.Misses)
+	s, _ := instantService(t, 2)
+	submitWait(t, s, predSpec("VA", 10))
+	submitWait(t, s, predSpec("VA", 10))
+	submitWait(t, s, predSpec("VA", 10))
+	got := series(t, s.Registry())
+	if got["epi_scenario_cache_hits_total"] != 2 || got["epi_scenario_cache_misses_total"] != 1 {
+		t.Fatalf("hits/misses %v/%v want 2/1",
+			got["epi_scenario_cache_hits_total"], got["epi_scenario_cache_misses_total"])
 	}
-	if want := 2.0 / 3.0; st.HitRatio != want {
-		t.Fatalf("ratio %v want %v", st.HitRatio, want)
+	if want := 2.0 / 3.0; got["epi_scenario_cache_hit_ratio"] != want {
+		t.Fatalf("ratio %v want %v", got["epi_scenario_cache_hit_ratio"], want)
 	}
 	// A lookup miss alone records nothing (the service books misses only
 	// for actually scheduled runs).
-	c.Get("absent")
-	if got := c.Stats().Misses; got != 1 {
-		t.Fatalf("misses %d want 1", got)
+	if _, ok := s.Lookup("absent"); ok {
+		t.Fatal("lookup of unknown id succeeded")
+	}
+	if got := series(t, s.Registry())["epi_scenario_cache_misses_total"]; got != 1 {
+		t.Fatalf("misses %v want 1", got)
 	}
 }

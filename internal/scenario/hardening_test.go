@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,8 +68,8 @@ func TestSharedCountsExact(t *testing.T) {
 	if got := j.Status().Shared; got != k {
 		t.Fatalf("Shared = %d, want %d", got, k)
 	}
-	if snap := s.MetricsSnapshot(); snap.Deduped != k {
-		t.Fatalf("deduped counter = %d, want %d", snap.Deduped, k)
+	if got := series(t, s.Registry())["epi_scenario_deduped_total"]; got != k {
+		t.Fatalf("deduped counter = %v, want %d", got, k)
 	}
 	r.releaseAll(1)
 	if _, err := j.Wait(context.Background()); err != nil {
@@ -77,6 +77,45 @@ func TestSharedCountsExact(t *testing.T) {
 	}
 	for i := 0; i < k+1; i++ {
 		j.Release()
+	}
+}
+
+// TestSingleflightNoRerunAfterFinish races many submitters of one spec
+// against a run that finishes immediately: a submitter that missed the
+// cache just before the result landed must still not start a second run.
+func TestSingleflightNoRerunAfterFinish(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		var runs atomic.Int64
+		s := NewService(Config{
+			Workers: 2, QueueCap: 8, Fingerprint: "test",
+			Runner: func(ctx context.Context, spec Spec) (*Result, error) {
+				runs.Add(1)
+				return &Result{}, nil
+			},
+		})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					j, err := s.Submit(predSpec("VA", 10))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, _ = j.Wait(context.Background())
+					j.Release()
+				}
+			}()
+		}
+		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = s.Drain(ctx)
+		cancel()
+		if got := runs.Load(); got != 1 {
+			t.Fatalf("round %d: spec ran %d times, want 1", round, got)
+		}
 	}
 }
 
@@ -121,8 +160,8 @@ func TestDrainGraceReportsStuckRunners(t *testing.T) {
 // while an auditor repeatedly asserts the core invariant: the inflight table
 // never holds a job in a terminal state. Run under -race it doubles as the
 // memory-model check for the queue hardening. Accounting must balance
-// exactly: every successful Submit is a cache hit, a shared-store hit, a
-// fresh submission, or a dedup attach.
+// exactly: every successful Submit is a cache hit, a fresh submission, or
+// a dedup attach.
 func TestSubmitReleaseCancelChurnRace(t *testing.T) {
 	s := NewService(Config{
 		Workers: 2, QueueCap: 4, Fingerprint: "test", CacheCap: 2,
@@ -199,14 +238,15 @@ func TestSubmitReleaseCancelChurnRace(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	snap := s.MetricsSnapshot()
-	accounted := snap.Submitted + snap.Deduped + snap.SharedHits + snap.Cache.Hits
-	if accounted != ok.Load() {
-		t.Fatalf("accounting drift: submitted %d + deduped %d + shared %d + cache hits %d = %d, want %d successful submits",
-			snap.Submitted, snap.Deduped, snap.SharedHits, snap.Cache.Hits, accounted, ok.Load())
+	got := series(t, s.Registry())
+	submitted, deduped, hits := got["epi_scenario_submitted_total"],
+		got["epi_scenario_deduped_total"], got["epi_scenario_cache_hits_total"]
+	if accounted := submitted + deduped + hits; accounted != float64(ok.Load()) {
+		t.Fatalf("accounting drift: submitted %v + deduped %v + cache hits %v = %v, want %d successful submits",
+			submitted, deduped, hits, accounted, ok.Load())
 	}
-	if snap.Rejected != rejected.Load() {
-		t.Fatalf("rejected counter %d, want %d", snap.Rejected, rejected.Load())
+	if got["epi_scenario_rejected_total"] != float64(rejected.Load()) {
+		t.Fatalf("rejected counter %v, want %d", got["epi_scenario_rejected_total"], rejected.Load())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -284,14 +324,7 @@ func TestServerBackpressureStatusContract(t *testing.T) {
 	}
 
 	r.releaseAll(9) // 1 running + 4 normal + 4 interactive admitted above
-	waitDrained := func() bool {
-		q, run := svc.Loads()
-		return q == 0 && run == 0
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !waitDrained() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSeries(t, svc.Registry(), `epi_scenario_jobs_total{state="done"}`, 9)
 
 	// Draining: flip the service into shutdown and submit once more.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -308,19 +341,31 @@ func TestServerBackpressureStatusContract(t *testing.T) {
 	}
 }
 
-// TestServerReplicasEndpointSingleService pins that /replicas is absent on a
-// plain single-service server (404), present only when the backend exposes
-// cluster status.
-func TestServerReplicasEndpointSingleService(t *testing.T) {
-	svc, _ := stubService(t, 1, 4)
-	ts := httptest.NewServer(NewServer(svc))
-	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/replicas")
+// TestServerRejectsOversizedSpec pins the request-body bound: a submission
+// larger than maxSpecBytes is refused with 413 before it reaches admission,
+// so it admits no job and moves no counter.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	ts, svc, _ := testServer(t, 1, 4)
+	before := series(t, svc.Registry())
+	body := `{"workflow":"prediction","state":"VA","pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/scenarios?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/replicas on single service: status %d want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d want 413", resp.StatusCode)
+	}
+	after := series(t, svc.Registry())
+	for name, v := range after {
+		if strings.HasPrefix(name, "epi_scenario_") && before[name] != v {
+			t.Errorf("%s moved from %v to %v", name, before[name], v)
+		}
+	}
+	svc.mu.Lock()
+	n := len(svc.registry)
+	svc.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d jobs admitted from an oversized body", n)
 	}
 }

@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"math"
-	"sync"
-
 	"repro/internal/obs"
 )
 
@@ -14,57 +11,19 @@ var latencyBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600,
 }
 
-// HistogramBucket is one cumulative histogram bucket.
-type HistogramBucket struct {
-	// LE is the bucket's inclusive upper bound in seconds; the last bucket
-	// reports +Inf as 0 with Inf set.
-	LE    float64 `json:"le"`
-	Inf   bool    `json:"inf,omitempty"`
-	Count int64   `json:"count"`
+// metrics holds the service's admission counters on a shared obs.Registry,
+// the source of the Prometheus /metrics endpoint.
+type metrics struct {
+	reg       *obs.Registry
+	submitted *obs.Counter
+	rejected  *obs.Counter
+	deduped   *obs.Counter
+	shed      *obs.Counter
 }
 
-// HistogramSnapshot is a point-in-time cumulative view.
-type HistogramSnapshot struct {
-	Count      int64             `json:"count"`
-	SumSeconds float64           `json:"sum_seconds"`
-	Buckets    []HistogramBucket `json:"buckets"`
-}
-
-// fromObs converts an obs histogram snapshot to the JSON shape this
-// package's /metrics.json payload has always served.
-func fromObs(s obs.HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count, SumSeconds: s.Sum}
-	for i, cum := range s.CumCounts {
-		b := HistogramBucket{Count: cum}
-		if i < len(s.Bounds) && !math.IsInf(s.Bounds[i], 1) {
-			b.LE = s.Bounds[i]
-		} else {
-			b.Inf = true
-		}
-		out.Buckets = append(out.Buckets, b)
-	}
-	return out
-}
-
-// Metrics aggregates the service counters on a shared obs.Registry — the
-// histogram machinery this package used to carry privately now lives in
-// internal/obs, so the same series surface both on the legacy JSON snapshot
-// and on the unified Prometheus /metrics endpoint.
-type Metrics struct {
-	reg        *obs.Registry
-	submitted  *obs.Counter
-	rejected   *obs.Counter
-	deduped    *obs.Counter
-	shed       *obs.Counter
-	sharedHits *obs.Counter
-
-	mu      sync.Mutex
-	latency map[string]*obs.Histogram // by workflow, for snapshot enumeration
-}
-
-// NewMetrics builds the service metrics over a registry; nil allocates a
-// private one.
-func NewMetrics(reg *obs.Registry) *Metrics {
+// newMetrics registers the service counters on reg; nil allocates a
+// private registry.
+func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -72,75 +31,17 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	reg.Help("epi_scenario_rejected_total", "scenario submissions shed by backpressure")
 	reg.Help("epi_scenario_deduped_total", "submissions attached to an identical in-flight job")
 	reg.Help("epi_scenario_shed_total", "submissions shed by priority-class admission control")
-	reg.Help("epi_scenario_shared_hits_total", "results forwarded from the peer-shared store")
 	reg.Help("epi_scenario_latency_seconds", "scenario run latency by workflow")
-	return &Metrics{
-		reg:        reg,
-		submitted:  reg.Counter("epi_scenario_submitted_total"),
-		rejected:   reg.Counter("epi_scenario_rejected_total"),
-		deduped:    reg.Counter("epi_scenario_deduped_total"),
-		shed:       reg.Counter("epi_scenario_shed_total"),
-		sharedHits: reg.Counter("epi_scenario_shared_hits_total"),
-		latency:    map[string]*obs.Histogram{},
+	return &metrics{
+		reg:       reg,
+		submitted: reg.Counter("epi_scenario_submitted_total"),
+		rejected:  reg.Counter("epi_scenario_rejected_total"),
+		deduped:   reg.Counter("epi_scenario_deduped_total"),
+		shed:      reg.Counter("epi_scenario_shed_total"),
 	}
 }
-
-// Registry returns the backing registry (for exposition and for wiring
-// further gauges onto the same endpoint).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-func (m *Metrics) incSubmitted() { m.submitted.Inc() }
-func (m *Metrics) incRejected()  { m.rejected.Inc() }
-func (m *Metrics) incDeduped()   { m.deduped.Inc() }
-func (m *Metrics) incShed()      { m.shed.Inc() }
-func (m *Metrics) incSharedHit() { m.sharedHits.Inc() }
 
 // observeLatency books one completed run of the given workflow.
-func (m *Metrics) observeLatency(workflow string, seconds float64) {
-	m.mu.Lock()
-	h, ok := m.latency[workflow]
-	if !ok {
-		h = m.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+workflow+`"}`, latencyBounds)
-		m.latency[workflow] = h
-	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-}
-
-// Snapshot is the /metrics.json payload.
-type Snapshot struct {
-	QueueDepth    int   `json:"queue_depth"`
-	QueueCapacity int   `json:"queue_capacity"`
-	Workers       int   `json:"workers"`
-	Draining      bool  `json:"draining"`
-	Submitted     int64 `json:"submitted"`
-	// Rejected counts 429 backpressure shed at admission.
-	Rejected int64 `json:"rejected"`
-	// Deduped counts submissions that attached to an identical in-flight
-	// job (single-flight sharing).
-	Deduped int64 `json:"deduped"`
-	// Shed counts submissions refused by priority-class admission control
-	// while spare queue capacity remained (distinct from Rejected).
-	Shed int64 `json:"shed"`
-	// SharedHits counts results served from the peer-shared store rather
-	// than recomputed locally.
-	SharedHits int64 `json:"shared_hits"`
-	// Jobs by state: queued and running are live gauges; done, failed and
-	// canceled are lifetime totals.
-	Jobs  map[string]int64 `json:"jobs"`
-	Cache CacheStats       `json:"cache"`
-	// Latency holds one cumulative histogram per workflow.
-	Latency map[string]HistogramSnapshot `json:"latency"`
-}
-
-// counters returns the scalar counters and per-workflow histograms.
-func (m *Metrics) counters() (submitted, rejected, deduped, shed, sharedHits int64, latency map[string]HistogramSnapshot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	latency = make(map[string]HistogramSnapshot, len(m.latency))
-	for k, h := range m.latency {
-		latency[k] = fromObs(h.Snapshot())
-	}
-	return m.submitted.Value(), m.rejected.Value(), m.deduped.Value(),
-		m.shed.Value(), m.sharedHits.Value(), latency
+func (m *metrics) observeLatency(workflow string, seconds float64) {
+	m.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+workflow+`"}`, latencyBounds).Observe(seconds)
 }

@@ -8,22 +8,30 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // obsServer builds a stub-backed server with serving observability over a
 // shared registry, so RED series land on the same /metrics the service
-// exports.
+// exports. The runner reports the engine-side shape the real pipeline
+// produces: an engine span carrying the fidelity router's tier decision.
 func obsServer(t *testing.T, workers, queueCap int) (*httptest.Server, *stubRunner) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	r := newStubRunner()
 	svc := NewService(Config{
-		Workers: workers, QueueCap: queueCap, Runner: r.run,
-		Fingerprint: "test", Registry: reg,
+		Workers: workers, QueueCap: queueCap, Fingerprint: "test", Registry: reg,
+		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
+			ectx, sp := obs.StartSpan(ctx, "engine.run")
+			defer sp.End()
+			obs.Event(ectx, "fidelity.route", obs.String("tier", "metapop"), obs.String("reason", "stub"))
+			return r.run(ectx, spec)
+		},
 	})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -81,8 +89,9 @@ func findSpan(n *obs.SpanNode, name string) *obs.SpanNode {
 
 // TestServingObsTraceEndToEnd drives one synchronous request through the
 // traced server and pulls its span tree back out of the flight recorder:
-// the trace must carry the queue wait and the engine-side job.run span, the
-// classified workflow/priority, and the content-address annotation.
+// the trace must carry the queue wait, the job.run span with the engine
+// span and fidelity tier decision beneath it, the classified
+// workflow/priority, and the content-address annotation.
 func TestServingObsTraceEndToEnd(t *testing.T) {
 	ts, r := obsServer(t, 2, 8)
 	r.releaseAll(1)
@@ -116,8 +125,17 @@ func TestServingObsTraceEndToEnd(t *testing.T) {
 	if qs.Attrs["outcome"] != "run" {
 		t.Fatalf("queue.wait outcome: %v", qs.Attrs)
 	}
-	if findSpan(view.Root, "job.run") == nil {
+	run := findSpan(view.Root, "job.run")
+	if run == nil {
 		t.Fatal("no job.run span in trace")
+	}
+	engine := findSpan(run, "engine.run")
+	if engine == nil {
+		t.Fatal("no engine span under job.run")
+	}
+	if len(engine.Events) != 1 || engine.Events[0].Name != "fidelity.route" ||
+		engine.Events[0].Attrs["tier"] != "metapop" {
+		t.Fatalf("engine span events %+v, want one fidelity.route with tier metapop", engine.Events)
 	}
 
 	// The listing includes the request, newest first.
@@ -257,6 +275,155 @@ func TestServerWithoutObsUnchanged(t *testing.T) {
 	for _, path := range []string{"/debug/requests", "/slo"} {
 		if code := getJSON(t, ts.URL+path, nil); code != http.StatusNotFound {
 			t.Fatalf("%s = %d on untraced server, want 404", path, code)
+		}
+	}
+}
+
+// TestTracedServiceBitIdentity pins traced≡untraced at the serving layer:
+// the same workload through one service over HTTP produces byte-identical
+// results (timing field zeroed) whether serving observability is off or
+// on with the flight recorder and request journal engaged — tracing reads
+// clocks, never the simulation's RNG.
+func TestTracedServiceBitIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pipeline service in short mode")
+	}
+	params := []ParamSpec{{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4}}
+	specs := []Spec{
+		{Workflow: "prediction", State: "RI", Days: 25, Replicates: 2, Configs: params},
+		{
+			Workflow: "whatif", State: "RI", Days: 20, Replicates: 1, Configs: params,
+			WhatIfs: []WhatIfSpec{{Name: "sh-lifted-1w-early", SHEndShift: -7}},
+		},
+	}
+	normalize := func(i int, payload []byte) string {
+		var r Result
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		if (i == 0 && (r.Prediction == nil || len(r.Prediction.Confirmed.Median) != 25)) ||
+			(i == 1 && len(r.Scenarios) != 1) {
+			t.Fatalf("spec %d: result malformed: %s", i, payload)
+		}
+		r.ElapsedSeconds = 0 // wall time: the only field allowed to differ
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	run := func(traced bool) []string {
+		reg := obs.NewRegistry()
+		p := core.NewPipeline(77, core.WithScale(40000), core.WithParallelism(2))
+		svc := NewService(Config{Pipeline: p, Workers: 1, QueueCap: 8, CacheCap: 8, Registry: reg})
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			_ = svc.Drain(ctx)
+		}()
+		var so *ServingObs
+		if traced {
+			so = NewServingObs(reg, ServingObsConfig{RecorderCapacity: 16, Journal: obs.NewCollector(nil)})
+		}
+		ts := httptest.NewServer(NewServer(svc, so))
+		defer ts.Close()
+		var out []string
+		for i, spec := range specs {
+			id := ""
+			if traced {
+				id = obs.NewRequestID()
+			}
+			resp, payload := postSpecID(t, ts, spec, "?wait=1", id)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("spec %d (traced=%v): %d: %s", i, traced, resp.StatusCode, payload)
+			}
+			out = append(out, normalize(i, payload))
+			if traced {
+				var view obs.TraceView
+				if code := getJSON(t, ts.URL+"/debug/requests/"+id, &view); code != http.StatusOK {
+					t.Fatalf("spec %d: debug get %d", i, code)
+				}
+				if findSpan(view.Root, "queue.wait") == nil || findSpan(view.Root, "job.run") == nil {
+					t.Fatalf("spec %d: traced run missing queue.wait/job.run spans", i)
+				}
+			}
+		}
+		return out
+	}
+	plain, traced := run(false), run(true)
+	for i := range specs {
+		if plain[i] != traced[i] {
+			t.Errorf("spec %d: traced result differs from untraced:\nuntraced: %.200s\ntraced:   %.200s",
+				i, plain[i], traced[i])
+		}
+	}
+}
+
+// TestConcurrentTracesStayApart posts two distinct specs at once under two
+// request IDs. Each request's trace must carry its own full path — queue
+// wait, job.run, engine span and fidelity tier decision — for its own
+// content address, never the other request's run.
+func TestConcurrentTracesStayApart(t *testing.T) {
+	ts, r := obsServer(t, 2, 8)
+	r.releaseAll(2)
+
+	specs := map[string]Spec{
+		"aaaaaaaaaaaaaaaa": predSpec("VA", 40),
+		"bbbbbbbbbbbbbbbb": predSpec("NC", 41),
+	}
+	hashes := map[string]string{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for id, spec := range specs {
+		wg.Add(1)
+		go func(id string, spec Spec) {
+			defer wg.Done()
+			resp, payload := postSpecID(t, ts, spec, "?wait=1", id)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d: %s", id, resp.StatusCode, payload)
+				return
+			}
+			if got := resp.Header.Get("X-Request-Id"); got != id {
+				t.Errorf("%s: X-Request-Id echo %q", id, got)
+			}
+			var res Result
+			if err := json.Unmarshal(payload, &res); err != nil {
+				t.Errorf("%s: %v", id, err)
+				return
+			}
+			mu.Lock()
+			hashes[id] = res.Hash
+			mu.Unlock()
+		}(id, spec)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if hashes["aaaaaaaaaaaaaaaa"] == hashes["bbbbbbbbbbbbbbbb"] {
+		t.Fatalf("distinct specs share a content address: %v", hashes)
+	}
+
+	for id, hash := range hashes {
+		var view obs.TraceView
+		if code := getJSON(t, ts.URL+"/debug/requests/"+id, &view); code != http.StatusOK {
+			t.Fatalf("%s: debug get %d", id, code)
+		}
+		if view.Annos["hash"] != hash {
+			t.Fatalf("%s: trace hash %v, want its own %s", id, view.Annos["hash"], hash)
+		}
+		qs := findSpan(view.Root, "queue.wait")
+		if qs == nil || qs.Attrs["outcome"] != "run" {
+			t.Fatalf("%s: queue.wait span %+v, want outcome run", id, qs)
+		}
+		run := findSpan(view.Root, "job.run")
+		if run == nil || run.Attrs["hash"] != hash {
+			t.Fatalf("%s: job.run span %+v, want one for hash %s", id, run, hash)
+		}
+		engine := findSpan(run, "engine.run")
+		if engine == nil || len(engine.Events) != 1 ||
+			engine.Events[0].Name != "fidelity.route" || engine.Events[0].Attrs["tier"] != "metapop" {
+			t.Fatalf("%s: engine span %+v, want one fidelity.route with tier metapop", id, engine)
 		}
 	}
 }

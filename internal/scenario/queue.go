@@ -7,10 +7,9 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
-
-	"sync"
 
 	"repro/internal/castore"
 	"repro/internal/core"
@@ -26,11 +25,6 @@ var (
 	ErrQueueFull = errors.New("scenario: queue full")
 	// ErrDraining rejects submissions during graceful shutdown.
 	ErrDraining = errors.New("scenario: service draining")
-	// ErrStolen finalizes a queued job claimed by a peer replica through
-	// StealQueued. A coordinator watcher that observes it must NOT surface
-	// it to waiters: the steal path owns the redispatch, so no client ever
-	// sees this error through a ticket.
-	ErrStolen = errors.New("scenario: job stolen by a peer replica")
 )
 
 // Priority classifies a submission for admission control. Interactive
@@ -168,7 +162,7 @@ type Job struct {
 	// per-class queue accounting).
 	pri Priority
 	// qspan is the open queue.wait span, ended exactly once when the job
-	// leaves the queue (run, steal, or cancel). Span methods are internally
+	// leaves the queue (run or cancel). Span methods are internally
 	// synchronized and nil-safe.
 	qspan *obs.Span
 
@@ -269,10 +263,6 @@ func (j *Job) Status() JobStatus {
 
 // Config parameterizes a Service.
 type Config struct {
-	// Name identifies the service in traces and pprof labels — the replica
-	// coordinator names its members "r0", "r1", ...; a single service
-	// defaults to "r0".
-	Name string
 	// Pipeline is the shared workflow substrate.
 	Pipeline *core.Pipeline
 	// Workers is the fixed worker-pool size (default 2).
@@ -296,12 +286,6 @@ type Config struct {
 	// the ladder (fidelity specs then fall through to the legacy runner,
 	// which ignores the field).
 	Fidelity *fidelity.Router
-	// Shared is an optional peer-visible content-addressed result store.
-	// Completed results are published into it, and submissions consult it
-	// after the local cache — so in a multi-replica deployment any replica
-	// serves any peer's cached result instead of recomputing it. All
-	// services sharing a store must share a pipeline fingerprint.
-	Shared *castore.Store[*Result]
 	// DrainGrace bounds how long Drain waits for cancelled runners to
 	// unwind after its context expires (default 5s). A runner that ignores
 	// cancellation past the grace is abandoned and reported via DrainError.
@@ -311,32 +295,38 @@ type Config struct {
 // Service is the scenario engine: admission control, content-addressed
 // cache, single-flight queue, worker pool, metrics, graceful drain.
 type Service struct {
-	name        string
 	runner      Runner
 	fingerprint string
-	cache       *Cache
-	shared      *castore.Store[*Result]
-	metrics     *Metrics
-	workers     int
-	queueCap    int
-	drainGrace  time.Duration
-	fidelity    *fidelity.Router
-	workersUp   atomic.Int64
+	// cache is the content-addressed LRU result cache. Keys are spec
+	// hashes; because the pipeline's seeded RNG makes runs deterministic, a
+	// cached result is exactly what a re-run would produce.
+	cache      *castore.Store[*Result]
+	metrics    *metrics
+	workers    int
+	queueCap   int
+	drainGrace time.Duration
+	fidelity   *fidelity.Router
+	workersUp  atomic.Int64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex // guards the fields below; lock order: Service.mu before Job.mu
-	queue    chan *Job
+	mu sync.Mutex // guards the fields below; lock order: Service.mu before Job.mu
+	// ready wakes idle workers when a job is queued or the service drains.
+	ready *sync.Cond
+	// queue holds the queued jobs in FIFO order. It is the only record of
+	// queue occupancy: a job leaves it when a worker takes it or when it is
+	// cancelled or abandoned while queued, so admission never counts a job
+	// that will not run.
+	queue    []*Job
 	inflight map[string]*Job // queued or running, by hash (the single-flight table)
 	recent   []*Job          // terminal jobs kept for status polls, oldest first
 	registry map[string]*Job // every known job, for status lookup
 	draining bool
 	counts   struct {
-		queued, running                int
-		queuedBy                       [3]int // per Priority class
-		done, failed, canceled, stolen int64
+		running                int
+		done, failed, canceled int64
 	}
 }
 
@@ -352,24 +342,22 @@ func NewService(cfg Config) *Service {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
+	if cfg.CacheCap <= 0 {
+		cfg.CacheCap = 64
+	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	if cfg.Name == "" {
-		cfg.Name = "r0"
-	}
 	s := &Service{
-		name:       cfg.Name,
 		workers:    cfg.Workers,
 		queueCap:   cfg.QueueCap,
 		drainGrace: cfg.DrainGrace,
-		cache:      NewCache(cfg.CacheCap),
-		shared:     cfg.Shared,
-		metrics:    NewMetrics(cfg.Registry),
-		queue:      make(chan *Job, cfg.QueueCap),
+		cache:      castore.New(castore.WithMaxEntries[*Result](cfg.CacheCap)),
+		metrics:    newMetrics(cfg.Registry),
 		inflight:   map[string]*Job{},
 		registry:   map[string]*Job{},
 	}
+	s.ready = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.fidelity = cfg.Fidelity
 	s.runner = cfg.Runner
@@ -394,49 +382,52 @@ func NewService(cfg Config) *Service {
 
 // Registry returns the obs registry carrying the service's metric series —
 // the source the HTTP layer's Prometheus /metrics endpoint renders.
-func (s *Service) Registry() *obs.Registry { return s.metrics.Registry() }
+func (s *Service) Registry() *obs.Registry { return s.metrics.reg }
 
 // registerGauges wires the live queue/job/cache state onto the registry as
 // exposition-time callbacks. Callbacks run outside the registry lock, so
 // taking s.mu / the cache lock here is deadlock-free.
 func (s *Service) registerGauges() {
 	reg := s.Registry()
-	jobCount := func(pick func() int64) func() float64 {
-		return func() float64 { return float64(pick()) }
-	}
-	counts := func() (queued, running int, done, failed, canceled int64, draining bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.counts.queued, s.counts.running, s.counts.done, s.counts.failed, s.counts.canceled, s.draining
+	locked := func(read func() float64) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return read()
+		}
 	}
 	reg.Help("epi_scenario_queue_depth", "jobs waiting for a worker")
-	reg.GaugeFunc("epi_scenario_queue_depth", jobCount(func() int64 { q, _, _, _, _, _ := counts(); return int64(q) }))
+	reg.GaugeFunc("epi_scenario_queue_depth", locked(func() float64 { return float64(len(s.queue)) }))
 	reg.Help("epi_scenario_queue_depth_class", "jobs waiting for a worker, by priority class")
 	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
 		pri := pri
-		reg.GaugeFunc(`epi_scenario_queue_depth_class{class="`+pri.String()+`"}`, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.counts.queuedBy[pri])
-		})
+		reg.GaugeFunc(`epi_scenario_queue_depth_class{class="`+pri.String()+`"}`, locked(func() float64 {
+			n := 0
+			for _, j := range s.queue {
+				if j.pri == pri {
+					n++
+				}
+			}
+			return float64(n)
+		}))
 	}
 	reg.Help("epi_scenario_queue_capacity", "bounded queue capacity")
 	reg.GaugeFunc("epi_scenario_queue_capacity", func() float64 { return float64(s.queueCap) })
 	reg.Help("epi_scenario_workers", "worker-pool size")
 	reg.GaugeFunc("epi_scenario_workers", func() float64 { return float64(s.workers) })
 	reg.Help("epi_scenario_inflight_jobs", "jobs currently running on a worker")
-	reg.GaugeFunc("epi_scenario_inflight_jobs", jobCount(func() int64 { _, r, _, _, _, _ := counts(); return int64(r) }))
+	reg.GaugeFunc("epi_scenario_inflight_jobs", locked(func() float64 { return float64(s.counts.running) }))
 	reg.Help("epi_scenario_draining", "1 while the service is shutting down")
-	reg.GaugeFunc("epi_scenario_draining", func() float64 {
-		if _, _, _, _, _, d := counts(); d {
+	reg.GaugeFunc("epi_scenario_draining", locked(func() float64 {
+		if s.draining {
 			return 1
 		}
 		return 0
-	})
+	}))
 	reg.Help("epi_scenario_jobs_total", "terminal jobs by state")
-	reg.CounterFunc(`epi_scenario_jobs_total{state="done"}`, jobCount(func() int64 { _, _, d, _, _, _ := counts(); return d }))
-	reg.CounterFunc(`epi_scenario_jobs_total{state="failed"}`, jobCount(func() int64 { _, _, _, f, _, _ := counts(); return f }))
-	reg.CounterFunc(`epi_scenario_jobs_total{state="canceled"}`, jobCount(func() int64 { _, _, _, _, c, _ := counts(); return c }))
+	reg.CounterFunc(`epi_scenario_jobs_total{state="done"}`, locked(func() float64 { return float64(s.counts.done) }))
+	reg.CounterFunc(`epi_scenario_jobs_total{state="failed"}`, locked(func() float64 { return float64(s.counts.failed) }))
+	reg.CounterFunc(`epi_scenario_jobs_total{state="canceled"}`, locked(func() float64 { return float64(s.counts.canceled) }))
 	reg.Help("epi_scenario_cache_entries", "cached results")
 	reg.GaugeFunc("epi_scenario_cache_entries", func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.Help("epi_scenario_cache_capacity", "result-cache capacity")
@@ -489,18 +480,8 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 		return nil, &BadSpecError{Err: err}
 	}
 	if res, ok := s.cache.Get(hash); ok {
-		obs.Event(ctx, "cache.hit", obs.String("hash", hash), obs.String("replica", s.name))
+		obs.Event(ctx, "cache.hit", obs.String("hash", hash))
 		return completedJob(hash, ns, res), nil
-	}
-	if s.shared != nil {
-		if res, ok := s.shared.Get(hash); ok {
-			// A peer already computed this spec: forward its result and
-			// keep a local copy so repeats stay local.
-			s.cache.Put(hash, res)
-			s.metrics.incSharedHit()
-			obs.Event(ctx, "castore.hit", obs.String("hash", hash), obs.String("replica", s.name))
-			return completedJob(hash, ns, res), nil
-		}
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -514,109 +495,62 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 		state := j.state
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.metrics.incDeduped()
+		s.metrics.deduped.Inc()
 		obs.Event(ctx, "singleflight.attach",
-			obs.String("hash", hash), obs.String("owner_state", state.String()),
-			obs.String("replica", s.name))
+			obs.String("hash", hash), obs.String("owner_state", state.String()))
 		return j, nil
 	}
+	// A run that finished since the lookup above put its result in the
+	// cache before leaving the single-flight table, both under s.mu, so
+	// looking again here keeps it from running twice.
+	if res, ok := s.cache.Get(hash); ok {
+		s.mu.Unlock()
+		obs.Event(ctx, "cache.hit", obs.String("hash", hash))
+		return completedJob(hash, ns, res), nil
+	}
 	if !s.admitLocked(pri) {
-		depth := s.counts.queued
+		depth := len(s.queue)
 		s.mu.Unlock()
 		if depth >= s.queueCap {
 			// Not a class decision: the queue is genuinely full.
-			s.metrics.incRejected()
+			s.metrics.rejected.Inc()
 			obs.Event(ctx, "admission.reject", obs.String("reason", "queue_full"),
-				obs.Int("depth", int64(depth)), obs.String("replica", s.name))
+				obs.Int("depth", int64(depth)))
 			return nil, ErrQueueFull
 		}
-		s.metrics.incShed()
+		s.metrics.shed.Inc()
 		obs.Event(ctx, "admission.reject", obs.String("reason", "shed"),
-			obs.String("class", pri.String()), obs.Int("depth", int64(depth)),
-			obs.String("replica", s.name))
+			obs.String("class", pri.String()), obs.Int("depth", int64(depth)))
 		return nil, &ShedError{Class: pri, Depth: depth, Capacity: s.queueCap}
 	}
 	j := &Job{Hash: hash, Spec: ns, svc: s, pri: pri, done: make(chan struct{}), interest: 1}
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	j.runCtx = obs.AdoptTrace(j.ctx, ctx)
 	_, j.qspan = obs.StartSpan(ctx, "queue.wait",
-		obs.String("hash", hash), obs.String("priority", pri.String()),
-		obs.String("replica", s.name))
-	select {
-	case s.queue <- j:
-		s.inflight[hash] = j
-		s.registry[hash] = j
-		s.counts.queued++
-		s.counts.queuedBy[pri]++
-		s.mu.Unlock()
-		s.metrics.incSubmitted()
-		s.cache.RecordMiss()
-		return j, nil
-	default:
-		s.mu.Unlock()
-		// The job never entered the queue: cancel its context immediately
-		// so the rejected submission does not leak a child context (and its
-		// goroutine bookkeeping) on baseCtx until shutdown.
-		j.cancel()
-		j.qspan.SetAttr(obs.String("outcome", "queue_full"))
-		j.qspan.End()
-		s.metrics.incRejected()
-		return nil, ErrQueueFull
-	}
+		obs.String("hash", hash), obs.String("priority", pri.String()))
+	s.queue = append(s.queue, j)
+	s.inflight[hash] = j
+	s.registry[hash] = j
+	s.ready.Signal()
+	s.mu.Unlock()
+	s.metrics.submitted.Inc()
+	s.cache.RecordMiss()
+	return j, nil
 }
 
 // admitLocked applies the per-class queue budget; caller holds s.mu. Batch
 // may use the first half of the queue, normal everything except a reserved
-// eighth (zero on small queues, so single-replica defaults are unchanged),
+// eighth (zero on small queues, so their defaults are unchanged),
 // interactive the whole queue.
 func (s *Service) admitLocked(pri Priority) bool {
 	switch pri {
 	case PriorityBatch:
-		return s.counts.queued < (s.queueCap+1)/2
+		return len(s.queue) < (s.queueCap+1)/2
 	case PriorityNormal:
-		return s.counts.queued < s.queueCap-s.queueCap/8
+		return len(s.queue) < s.queueCap-s.queueCap/8
 	default:
-		return true
+		return len(s.queue) < s.queueCap
 	}
-}
-
-// StealQueued atomically claims a still-queued job for execution elsewhere:
-// the job is removed from the queue bookkeeping and the single-flight
-// table, finalized locally, and its normalized spec returned so a replica
-// coordinator can redispatch it onto an idle peer while keeping one
-// canonical owner per hash. Running or terminal jobs cannot be stolen (a
-// false return means the job must finish where it is). The worker that
-// later pops the stolen job from the channel skips it.
-func (s *Service) StealQueued(id string) (Spec, bool) {
-	s.mu.Lock()
-	j, ok := s.registry[id]
-	if !ok {
-		s.mu.Unlock()
-		return Spec{}, false
-	}
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return Spec{}, false
-	}
-	j.state = StateCanceled
-	j.err = ErrStolen
-	close(j.done)
-	delete(s.inflight, j.Hash)
-	if s.registry[j.Hash] == j {
-		delete(s.registry, j.Hash)
-	}
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
-	s.counts.stolen++
-	spec := j.Spec
-	j.mu.Unlock()
-	s.mu.Unlock()
-	j.cancel()
-	j.qspan.SetAttr(obs.String("outcome", "stolen"))
-	j.qspan.End()
-	return spec, true
 }
 
 // Lookup returns the job for an ID, falling back to the result cache for
@@ -663,19 +597,33 @@ func (s *Service) Cancel(id string) bool {
 	}
 }
 
-// cancelQueuedLocked finalizes a still-queued job as canceled. Caller holds
-// s.mu and j.mu. The worker that later pops the job skips it.
+// cancelQueuedLocked finalizes a still-queued job as canceled and frees its
+// queue slot. Caller holds s.mu and j.mu.
 func (s *Service) cancelQueuedLocked(j *Job) {
+	for i, q := range s.queue {
+		if q == j {
+			s.dequeueLocked(i)
+			break
+		}
+	}
 	j.state = StateCanceled
 	j.err = context.Canceled
 	close(j.done)
 	delete(s.inflight, j.Hash)
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
 	s.counts.canceled++
 	s.retainLocked(j)
 	j.qspan.SetAttr(obs.String("outcome", "canceled"))
 	j.qspan.End()
+}
+
+// dequeueLocked removes and returns the job at queue position i, keeping
+// FIFO order. Caller holds s.mu.
+func (s *Service) dequeueLocked(i int) *Job {
+	j := s.queue[i]
+	copy(s.queue[i:], s.queue[i+1:])
+	s.queue[len(s.queue)-1] = nil
+	s.queue = s.queue[:len(s.queue)-1]
+	return j
 }
 
 // retainLocked records a terminal job for later status polls, evicting the
@@ -694,9 +642,33 @@ func (s *Service) retainLocked(j *Job) {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	s.workersUp.Add(1)
-	for j := range s.queue {
+	for {
+		j := s.take()
+		if j == nil {
+			return
+		}
 		s.runJob(j)
 	}
+}
+
+// take blocks until a job is queued, moves it to running and returns it; it
+// returns nil once the service drains with nothing left to run.
+func (s *Service) take() *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 && !s.draining {
+		s.ready.Wait()
+	}
+	if len(s.queue) == 0 {
+		return nil
+	}
+	j := s.dequeueLocked(0)
+	j.mu.Lock()
+	j.state = StateRunning
+	j.started = time.Now()
+	j.mu.Unlock()
+	s.counts.running++
+	return j
 }
 
 // Readiness is the /readyz payload: overall readiness plus the state of
@@ -733,22 +705,8 @@ func (s *Service) Readiness() Readiness {
 	return r
 }
 
+// runJob executes a job that take moved to running.
 func (s *Service) runJob(j *Job) {
-	s.mu.Lock()
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
-	s.counts.running++
-	j.mu.Unlock()
-	s.mu.Unlock()
-
 	j.qspan.SetAttr(obs.String("outcome", "run"))
 	j.qspan.End()
 
@@ -758,21 +716,15 @@ func (s *Service) runJob(j *Job) {
 	if tier == "" {
 		tier = "auto"
 	}
-	runCtx := j.runCtx
-	if runCtx == nil { // jobs constructed outside SubmitCtx (tests)
-		runCtx = j.ctx
-	}
-	runCtx, rspan := obs.StartSpan(runCtx, "job.run",
-		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow),
-		obs.String("replica", s.name))
+	runCtx, rspan := obs.StartSpan(j.runCtx, "job.run",
+		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow))
 
 	var res *Result
 	var err error
 	// pprof labels attribute CPU samples in the -pprof profiles to the
 	// request being served; they are invisible to the runner itself.
 	pprof.Do(runCtx, pprof.Labels(
-		"hash", j.Hash, "workflow", j.Spec.Workflow,
-		"tier", tier, "replica", s.name,
+		"hash", j.Hash, "workflow", j.Spec.Workflow, "tier", tier,
 	), func(ctx context.Context) {
 		res, err = s.runner(ctx, j.Spec)
 	})
@@ -799,9 +751,6 @@ func (s *Service) runJob(j *Job) {
 		res.ElapsedSeconds = elapsed.Seconds()
 		j.result = res
 		s.cache.Put(j.Hash, res)
-		if s.shared != nil {
-			s.shared.Put(j.Hash, res)
-		}
 		s.metrics.observeLatency(j.Spec.Workflow, elapsed.Seconds())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
@@ -819,47 +768,11 @@ func (s *Service) runJob(j *Job) {
 	j.cancel() // release the context's resources
 }
 
-// QueueDepth returns the number of jobs waiting for a worker.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts.queued
-}
-
 // Draining reports whether the service has begun shutting down.
 func (s *Service) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// MetricsSnapshot assembles the /metrics payload.
-func (s *Service) MetricsSnapshot() Snapshot {
-	submitted, rejected, deduped, shed, sharedHits, latency := s.metrics.counters()
-	s.mu.Lock()
-	snap := Snapshot{
-		QueueDepth:    s.counts.queued,
-		QueueCapacity: s.queueCap,
-		Workers:       s.workers,
-		Draining:      s.draining,
-		Submitted:     submitted,
-		Rejected:      rejected,
-		Deduped:       deduped,
-		Shed:          shed,
-		SharedHits:    sharedHits,
-		Jobs: map[string]int64{
-			"queued":   int64(s.counts.queued),
-			"running":  int64(s.counts.running),
-			"done":     s.counts.done,
-			"failed":   s.counts.failed,
-			"canceled": s.counts.canceled,
-			"stolen":   s.counts.stolen,
-		},
-		Latency: latency,
-	}
-	s.mu.Unlock()
-	snap.Cache = s.cache.Stats()
-	return snap
 }
 
 // Drain gracefully shuts the service down: new submissions are rejected,
@@ -871,10 +784,8 @@ func (s *Service) MetricsSnapshot() Snapshot {
 // ctx.Err(), so deadline checks via errors.Is keep working).
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue) // Submit checks draining under s.mu before sending
-	}
+	s.draining = true
+	s.ready.Broadcast() // idle workers exit once the queue is empty
 	s.mu.Unlock()
 	finished := make(chan struct{})
 	go func() {
@@ -912,38 +823,4 @@ func (s *Service) runningHashes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Fingerprint returns the pipeline fingerprint the service hashes specs
-// under — replicas behind one front door must agree on it for the shared
-// result store to be sound.
-func (s *Service) Fingerprint() string { return s.fingerprint }
-
-// QueueCap returns the bounded queue's capacity.
-func (s *Service) QueueCap() int { return s.queueCap }
-
-// Workers returns the configured worker-pool size.
-func (s *Service) Workers() int { return s.workers }
-
-// Loads returns the live queued and running job counts — the cheap view a
-// replica coordinator polls for dispatch and steal decisions.
-func (s *Service) Loads() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts.queued, s.counts.running
-}
-
-// Name returns the service's trace/pprof identity.
-func (s *Service) Name() string { return s.name }
-
-// QueuedByClass returns the live queued counts per priority class, keyed by
-// Priority.String() — the /replicas per-class queue view.
-func (s *Service) QueuedByClass() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return map[string]int{
-		PriorityInteractive.String(): s.counts.queuedBy[PriorityInteractive],
-		PriorityNormal.String():      s.counts.queuedBy[PriorityNormal],
-		PriorityBatch.String():       s.counts.queuedBy[PriorityBatch],
-	}
 }

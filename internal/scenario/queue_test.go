@@ -3,9 +3,13 @@ package scenario
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // stubRunner counts executions and blocks each run on a gate until released
@@ -52,6 +56,48 @@ func stubService(t *testing.T, workers, queueCap int) (*Service, *stubRunner) {
 
 func predSpec(state string, days int) Spec {
 	return Spec{Workflow: WorkflowPrediction, State: state, Days: days}
+}
+
+// parseSeries reads a Prometheus text exposition into sample values keyed
+// by the full series name, labels included.
+func parseSeries(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// series snapshots every sample on a registry.
+func series(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return parseSeries(t, b.String())
+}
+
+// waitSeries polls a registry series until it reaches want.
+func waitSeries(t *testing.T, reg *obs.Registry, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if series(t, reg)[name] == want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("%s = %v, want %v", name, series(t, reg)[name], want)
 }
 
 func waitState(t *testing.T, j *Job, want JobState) {
@@ -149,8 +195,8 @@ func TestQueueFullRejects(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if got := s.MetricsSnapshot().Rejected; got != 1 {
-		t.Fatalf("rejected %d want 1", got)
+	if got := series(t, s.Registry())["epi_scenario_rejected_total"]; got != 1 {
+		t.Fatalf("rejected %v want 1", got)
 	}
 	// Deduplication onto the running job still succeeds under a full queue.
 	if _, err := s.Submit(predSpec("VA", 10)); err != nil {
@@ -158,6 +204,70 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	j1.Release() // drop the extra attach reference
 	r.releaseAll(2)
+}
+
+// fillQueue occupies the single worker and then queues n more distinct
+// interactive jobs; the returned jobs are released at test cleanup.
+func fillQueue(t *testing.T, s *Service, r *stubRunner, n int) {
+	t.Helper()
+	var jobs []*Job
+	for i := 0; i <= n; i++ {
+		j, err := s.SubmitPri(predSpec("VA", 10+i), PriorityInteractive)
+		if err != nil {
+			t.Fatalf("interactive submit %d: %v", i, err)
+		}
+		jobs = append(jobs, j)
+		if i == 0 {
+			<-r.started
+		}
+	}
+	t.Cleanup(func() {
+		r.releaseAll(n + 1)
+		for _, j := range jobs {
+			j.Release()
+		}
+	})
+}
+
+// TestBatchClassShedsBeforeQueueFull pins the class budget: once half the
+// queue is occupied a batch submission is shed while normal traffic is
+// still admitted.
+func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
+	s, r := stubService(t, 1, 8)
+	fillQueue(t, s, r, 4)
+	var shed *ShedError
+	if _, err := s.SubmitPri(predSpec("VA", 80), PriorityBatch); !errors.As(err, &shed) {
+		t.Fatalf("want batch shed at half queue, got %v", err)
+	}
+	if shed.Depth != 4 || shed.Capacity != 8 {
+		t.Fatalf("shed at %d/%d, want 4/8", shed.Depth, shed.Capacity)
+	}
+	j, err := s.SubmitPri(predSpec("VA", 81), PriorityNormal)
+	if err != nil {
+		t.Fatalf("normal class should still admit: %v", err)
+	}
+	j.Release()
+	got := series(t, s.Registry())
+	if got["epi_scenario_shed_total"] != 1 || got["epi_scenario_rejected_total"] != 0 {
+		t.Fatalf("shed %v / rejected %v, want 1/0",
+			got["epi_scenario_shed_total"], got["epi_scenario_rejected_total"])
+	}
+}
+
+// TestQueueFullBeatsClassShed pins the saturation signal: at a full queue
+// every class, batch included, gets ErrQueueFull rather than a class shed
+// (class sheds only happen while room remains for a higher class).
+func TestQueueFullBeatsClassShed(t *testing.T) {
+	s, r := stubService(t, 1, 4)
+	fillQueue(t, s, r, 4)
+	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
+		if _, err := s.SubmitPri(predSpec("VA", 90), pri); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("%s at a full queue: want ErrQueueFull, got %v", pri, err)
+		}
+	}
+	if got := series(t, s.Registry())["epi_scenario_shed_total"]; got != 0 {
+		t.Fatalf("shed %v, want 0 at a full queue", got)
+	}
 }
 
 func TestReleaseCancelsAbandonedJobs(t *testing.T) {
@@ -182,9 +292,60 @@ func TestReleaseCancelsAbandonedJobs(t *testing.T) {
 	if got := r.runs.Load(); got != 1 {
 		t.Fatalf("%d executions want 1 (queued job never ran)", got)
 	}
-	snap := s.MetricsSnapshot()
-	if snap.Jobs["canceled"] != 2 {
-		t.Fatalf("canceled count %d want 2", snap.Jobs["canceled"])
+	if got := series(t, s.Registry())[`epi_scenario_jobs_total{state="canceled"}`]; got != 2 {
+		t.Fatalf("canceled count %v want 2", got)
+	}
+}
+
+// TestAbandonedQueuedJobFreesSlot is the regression test for queue-slot
+// leaks: a queued job that is abandoned or cancelled must give its slot
+// back at once, so the next submission is admitted rather than refused
+// while the reported depth sits below capacity.
+func TestAbandonedQueuedJobFreesSlot(t *testing.T) {
+	s, r := stubService(t, 1, 2)
+	running, err := s.Submit(predSpec("VA", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.started
+	a, err := s.Submit(predSpec("VA", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(predSpec("VA", 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release() // abandoned while queued
+	c, err := s.Submit(predSpec("VA", 13))
+	if err != nil {
+		t.Fatalf("submit after abandoning a queued job: %v (queue depth %v)",
+			err, series(t, s.Registry())["epi_scenario_queue_depth"])
+	}
+	if !s.Cancel(b.Hash) { // explicitly cancelled while queued
+		t.Fatal("cancel queued failed")
+	}
+	d, err := s.Submit(predSpec("VA", 14))
+	if err != nil {
+		t.Fatalf("submit after cancelling a queued job: %v", err)
+	}
+	if _, err := s.Submit(predSpec("VA", 15)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("want ErrQueueFull with both slots taken, got %v", err)
+	}
+	got := series(t, s.Registry())
+	if got["epi_scenario_queue_depth"] != 2 || got["epi_scenario_rejected_total"] != 1 {
+		t.Fatalf("queue depth %v / rejected %v, want 2/1",
+			got["epi_scenario_queue_depth"], got["epi_scenario_rejected_total"])
+	}
+	// The freed slots run the surviving jobs in FIFO order.
+	r.releaseAll(3)
+	for _, j := range []*Job{running, c, d} {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.runs.Load(); got != 3 {
+		t.Fatalf("%d executions want 3 (abandoned and cancelled jobs never ran)", got)
 	}
 }
 
@@ -297,7 +458,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
-func TestMetricsSnapshotShape(t *testing.T) {
+func TestMetricsSeries(t *testing.T) {
 	s, r := stubService(t, 2, 4)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Submit(predSpec("VA", 20+i)); err != nil {
@@ -305,27 +466,19 @@ func TestMetricsSnapshotShape(t *testing.T) {
 		}
 	}
 	r.releaseAll(3)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && s.MetricsSnapshot().Jobs["done"] < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	snap := s.MetricsSnapshot()
-	if snap.Submitted != 3 || snap.Jobs["done"] != 3 {
-		t.Fatalf("snapshot %+v want 3 submitted/done", snap)
-	}
-	if snap.QueueCapacity != 4 || snap.Workers != 2 {
-		t.Fatalf("capacity/workers %d/%d want 4/2", snap.QueueCapacity, snap.Workers)
-	}
-	h, ok := snap.Latency[WorkflowPrediction]
-	if !ok || h.Count != 3 {
-		t.Fatalf("latency histogram missing or wrong count: %+v", snap.Latency)
-	}
-	last := h.Buckets[len(h.Buckets)-1]
-	if !last.Inf || last.Count != 3 {
-		t.Fatalf("+Inf bucket %+v want cumulative 3", last)
-	}
-	if snap.Cache.Misses != 3 {
-		t.Fatalf("cache misses %d want 3", snap.Cache.Misses)
+	waitSeries(t, s.Registry(), `epi_scenario_jobs_total{state="done"}`, 3)
+	got := series(t, s.Registry())
+	for name, want := range map[string]float64{
+		"epi_scenario_submitted_total":                                         3,
+		"epi_scenario_queue_capacity":                                          4,
+		"epi_scenario_workers":                                                 2,
+		"epi_scenario_cache_misses_total":                                      3,
+		`epi_scenario_latency_seconds_count{workflow="prediction"}`:            3,
+		`epi_scenario_latency_seconds_bucket{workflow="prediction",le="+Inf"}`: 3,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
 	}
 }
 
@@ -360,4 +513,48 @@ func TestRecentEvictionKeepsRegistryBounded(t *testing.T) {
 		t.Fatal("most recent job evicted")
 	}
 	close(r.started)
+}
+
+// TestBackendCancelAndAbandon drives cancellation through the Backend
+// surface the HTTP layer uses: Cancel by ID stops a running submission and
+// its waiter sees the cancellation, and a waiter that releases its only
+// interest in a running submission abandons it.
+func TestBackendCancelAndAbandon(t *testing.T) {
+	s, r := stubService(t, 2, 8)
+	b := AsBackend(s)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	h, err := b.Submit(ctx, predSpec("VA", 30), PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.started
+	if !b.Cancel(h.ID()) {
+		t.Fatal("Cancel refused a running submission")
+	}
+	if _, err := h.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want cancellation, got %v", err)
+	}
+	h.Release()
+
+	h2, err := b.Submit(ctx, predSpec("NC", 30), PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.started
+	h2.Release()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got, ok := b.Lookup(h2.ID()); ok && got.Status().State == "canceled" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned running submission never finalized as canceled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := r.runs.Load(); got != 2 {
+		t.Fatalf("%d executions want 2", got)
+	}
 }

@@ -4,11 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 
 	"repro/internal/obs"
 )
+
+// maxSpecBytes bounds a POST /scenarios body. Real specs are a few KB, so
+// 1 MiB leaves ample room while keeping one request from buffering
+// arbitrary input.
+const maxSpecBytes = 1 << 20
 
 // Server exposes a Backend over HTTP:
 //
@@ -19,26 +25,23 @@ import (
 //	DELETE /scenarios/{id}        cancel a queued or running job
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (workers up; fidelity tiers warm)
-//	GET    /metrics               queue / cache / latency snapshot
-//	GET    /replicas              cluster view (replica-coordinator backends)
+//	GET    /metrics               Prometheus text: queue / cache / latency series
 //
 // Submit responses carry the spec's content address as the job ID, so
 // clients can re-derive, share and re-poll result URLs.
 //
-// Backpressure contract (pinned by server_test.go):
+// Backpressure contract (pinned by hardening_test.go):
 //
 //	ErrQueueFull → 429, Retry-After: 1, body reason "queue_full"
 //	*ShedError   → 429, Retry-After: 5, body reason "shed" (class included)
 //	ErrDraining  → 503, body reason "draining"
+//
+// A submission body larger than maxSpecBytes is refused with 413.
 type Server struct {
 	backend Backend
 	mux     *http.ServeMux
 	obs     *ServingObs
 }
-
-// replicaStatuser is the optional Backend extension that enables the
-// /replicas route (implemented by the replica coordinator).
-type replicaStatuser interface{ ReplicaStatus() any }
 
 // NewServer wires the routes over a single service. An optional ServingObs
 // enables request tracing, the flight recorder, RED series and SLO routes.
@@ -46,11 +49,11 @@ func NewServer(svc *Service, so ...*ServingObs) *Server {
 	return NewBackendServer(AsBackend(svc), so...)
 }
 
-// NewBackendServer wires the routes over any Backend — one service or a
-// replica coordinator fronting several. An optional ServingObs traces the
-// scenario routes (submit/status/result/cancel), records every request
-// into the flight recorder at /debug/requests, and serves SLO burn at
-// /slo; without it the server behaves exactly as before.
+// NewBackendServer wires the routes over any Backend — a service or a
+// wrapper around one. An optional ServingObs traces the scenario routes
+// (submit/status/result/cancel), records every request into the flight
+// recorder at /debug/requests, and serves SLO burn at /slo; without it
+// the server behaves exactly as before.
 func NewBackendServer(b Backend, so ...*ServingObs) *Server {
 	s := &Server{backend: b, mux: http.NewServeMux()}
 	if len(so) > 0 {
@@ -63,16 +66,10 @@ func NewBackendServer(b Backend, so ...*ServingObs) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	if s.obs != nil {
 		s.mux.HandleFunc("GET /debug/requests", s.obs.handleDebugList)
 		s.mux.HandleFunc("GET /debug/requests/{id}", s.obs.handleDebugGet)
 		s.mux.HandleFunc("GET /slo", s.obs.handleSLO)
-	}
-	if rs, ok := b.(replicaStatuser); ok {
-		s.mux.HandleFunc("GET /replicas", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, rs.ReplicaStatus())
-		})
 	}
 	return s
 }
@@ -110,7 +107,13 @@ func writeReasonError(w http.ResponseWriter, code int, reason, msg string, extra
 // ?priority= (or X-Priority) selects the admission class.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("spec body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec JSON: "+err.Error())
 		return
 	}
@@ -175,7 +178,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return // client gone; nothing to write
 		}
 		code := http.StatusInternalServerError
-		if errors.Is(err, errCanceledResult) || job.Status().State == StateCanceled.String() {
+		if job.Status().State == StateCanceled.String() {
 			code = http.StatusConflict
 		}
 		writeError(w, code, err.Error())
@@ -196,9 +199,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, res)
 }
-
-// errCanceledResult classifies cancellation in handleSubmit.
-var errCanceledResult = errors.New("scenario: job canceled")
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.backend.Lookup(r.PathValue("id"))
@@ -270,13 +270,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, r)
 }
 
-// handleMetrics serves the unified registry in Prometheus text exposition;
-// the pre-existing JSON shape moved to /metrics.json.
+// handleMetrics serves the unified registry in Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.backend.Registry().WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.backend.MetricsSnapshot())
 }

@@ -41,6 +41,25 @@ func postSpec(t *testing.T, ts *httptest.Server, spec Spec, query string) (*http
 	return resp, payload
 }
 
+// scrape reads the server's Prometheus /metrics endpoint into sample
+// values keyed by full series name.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	return parseSeries(t, string(body))
+}
+
 func getJSON(t *testing.T, url string, v any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -61,7 +80,7 @@ func getJSON(t *testing.T, url string, v any) int {
 // executions (single-flight verified), a resubmission is served from the
 // cache without a third execution, and /metrics reflects all of it.
 func TestServerEndToEnd(t *testing.T) {
-	ts, _, r := testServer(t, 2, 8)
+	ts, svc, r := testServer(t, 2, 8)
 
 	specA := Spec{Workflow: "prediction", State: "VA", Days: 42}
 	specB := Spec{Workflow: "prediction", State: "RI", Days: 42}
@@ -83,7 +102,8 @@ func TestServerEndToEnd(t *testing.T) {
 		}(i, spec)
 	}
 	// Exactly two distinct specs reach the workers; release them once both
-	// are blocked inside the runner.
+	// are blocked inside the runner and the duplicate has attached (released
+	// earlier, the duplicate could arrive after the run and hit the cache).
 	for i := 0; i < 2; i++ {
 		select {
 		case <-r.started:
@@ -91,6 +111,7 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatal("runs did not start")
 		}
 	}
+	waitSeries(t, svc.Registry(), "epi_scenario_deduped_total", 1)
 	r.releaseAll(2)
 	wg.Wait()
 
@@ -125,24 +146,21 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// /metrics reflects the whole story.
-	var snap Snapshot
-	if code := getJSON(t, ts.URL+"/metrics.json", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	m := scrape(t, ts)
+	if got := m["epi_scenario_submitted_total"]; got != 2 {
+		t.Fatalf("submitted %v want 2", got)
 	}
-	if snap.Submitted != 2 {
-		t.Fatalf("submitted %d want 2", snap.Submitted)
+	if got := m["epi_scenario_deduped_total"]; got != 1 {
+		t.Fatalf("deduped %v want 1 (second identical submission attached)", got)
 	}
-	if snap.Deduped != 1 {
-		t.Fatalf("deduped %d want 1 (second identical submission attached)", snap.Deduped)
+	if got := m[`epi_scenario_jobs_total{state="done"}`]; got != 2 {
+		t.Fatalf("done %v want 2", got)
 	}
-	if snap.Jobs["done"] != 2 {
-		t.Fatalf("done %d want 2", snap.Jobs["done"])
+	if hits, misses := m["epi_scenario_cache_hits_total"], m["epi_scenario_cache_misses_total"]; hits < 1 || misses != 2 {
+		t.Fatalf("cache hits/misses %v/%v want ≥1/2", hits, misses)
 	}
-	if snap.Cache.Hits < 1 || snap.Cache.Misses != 2 {
-		t.Fatalf("cache hits/misses %d/%d want ≥1/2", snap.Cache.Hits, snap.Cache.Misses)
-	}
-	if h := snap.Latency[WorkflowPrediction]; h.Count != 2 {
-		t.Fatalf("latency count %d want 2", h.Count)
+	if got := m[`epi_scenario_latency_seconds_count{workflow="prediction"}`]; got != 2 {
+		t.Fatalf("latency count %v want 2", got)
 	}
 }
 
@@ -166,13 +184,12 @@ func TestServerQueueFull429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Rejected != 1 {
-		t.Fatalf("rejected %d want 1", snap.Rejected)
+	m := scrape(t, ts)
+	if got := m["epi_scenario_rejected_total"]; got != 1 {
+		t.Fatalf("rejected %v want 1", got)
 	}
-	if snap.QueueDepth != 1 || snap.Jobs["running"] != 1 {
-		t.Fatalf("queue depth %d / running %d want 1/1", snap.QueueDepth, snap.Jobs["running"])
+	if depth, running := m["epi_scenario_queue_depth"], m["epi_scenario_inflight_jobs"]; depth != 1 || running != 1 {
+		t.Fatalf("queue depth %v / running %v want 1/1", depth, running)
 	}
 	r.releaseAll(2)
 }
@@ -223,10 +240,8 @@ func TestServerDisconnectCancelsJob(t *testing.T) {
 	if !ok || j.Status().State != "canceled" {
 		t.Fatalf("job after disconnect: ok=%v status=%+v", ok, j.Status())
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Jobs["canceled"] != 1 {
-		t.Fatalf("canceled %d want 1", snap.Jobs["canceled"])
+	if got := scrape(t, ts)[`epi_scenario_jobs_total{state="canceled"}`]; got != 1 {
+		t.Fatalf("canceled %v want 1", got)
 	}
 	// The job never completed: no result, and polling reports canceled.
 	code := getJSON(t, ts.URL+"/scenarios/"+hash+"/result", nil)
@@ -397,21 +412,19 @@ func TestServerRealPipeline(t *testing.T) {
 		t.Fatalf("night result malformed: %+v", nres.Night)
 	}
 
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Jobs["done"] != 3 {
-		t.Fatalf("done %d want 3", snap.Jobs["done"])
+	m := scrape(t, ts)
+	if got := m[`epi_scenario_jobs_total{state="done"}`]; got != 3 {
+		t.Fatalf("done %v want 3", got)
 	}
 	for _, wf := range []string{WorkflowPrediction, WorkflowWhatIf, WorkflowNight} {
-		if snap.Latency[wf].Count != 1 {
-			t.Fatalf("latency[%s] count %d want 1", wf, snap.Latency[wf].Count)
+		if got := m[`epi_scenario_latency_seconds_count{workflow="`+wf+`"}`]; got != 1 {
+			t.Fatalf("latency[%s] count %v want 1", wf, got)
 		}
 	}
 }
 
 // TestServerMetricsPrometheus verifies /metrics serves the unified registry
-// in Prometheus text exposition while the pre-existing JSON shape stays
-// reachable at /metrics.json.
+// in Prometheus text exposition.
 func TestServerMetricsPrometheus(t *testing.T) {
 	ts, _, _ := testServer(t, 1, 4)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -441,11 +454,63 @@ func TestServerMetricsPrometheus(t *testing.T) {
 			t.Fatalf("missing %q in exposition:\n%s", want, text)
 		}
 	}
-	var snap Snapshot
-	if code := getJSON(t, ts.URL+"/metrics.json", &snap); code != http.StatusOK {
-		t.Fatalf("json metrics status %d", code)
+	for _, name := range []string{
+		"epi_scenario_cache_hits_total", "epi_scenario_cache_misses_total",
+		"epi_scenario_deduped_total", "epi_scenario_rejected_total", "epi_scenario_shed_total",
+	} {
+		if !strings.Contains(text, "\n"+name+" ") {
+			t.Errorf("missing series %s", name)
+		}
 	}
-	if snap.QueueCapacity != 4 {
-		t.Fatalf("legacy snapshot queue capacity = %d, want 4", snap.QueueCapacity)
+}
+
+// TestServerRetiredRoutesNotFound pins that the retired JSON metrics view
+// and cluster view are not served: /metrics is the one metrics surface.
+func TestServerRetiredRoutesNotFound(t *testing.T) {
+	ts, _, _ := testServer(t, 1, 4)
+	for _, route := range []string{"/metrics.json", "/replicas"} {
+		if code := getJSON(t, ts.URL+route, nil); code != http.StatusNotFound {
+			t.Fatalf("%s status %d, want 404", route, code)
+		}
+	}
+}
+
+// TestServerSingleFlightAcrossFrontDoor submits one spec twice through the
+// HTTP front door, the state spelled in different case: both asynchronous
+// submissions get the same job ID, the second reports itself shared, and
+// the pipeline runs once.
+func TestServerSingleFlightAcrossFrontDoor(t *testing.T) {
+	ts, _, r := testServer(t, 2, 8)
+	var ids []string
+	for i, state := range []string{"VA", "va"} {
+		resp, payload := postSpec(t, ts, predSpec(state, 30), "")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", state, resp.StatusCode)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(payload, &st); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && st.Shared != 1 {
+			t.Fatalf("second submission shared=%d, want 1", st.Shared)
+		}
+		ids = append(ids, st.ID)
+		if i == 0 {
+			<-r.started // running and blocked on the gate
+		}
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("same spec got different IDs: %s vs %s", ids[0], ids[1])
+	}
+	r.releaseAll(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for getJSON(t, ts.URL+"/scenarios/"+ids[0]+"/result", nil) != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatal("shared job never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := r.runs.Load(); got != 1 {
+		t.Fatalf("%d executions want 1", got)
 	}
 }
